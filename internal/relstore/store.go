@@ -1,14 +1,16 @@
 // Package relstore implements an embedded relational store: the
 // strongest component system in the federation. It supports full
-// predicate/projection/aggregation/sort/limit pushdown, hash indexes,
-// transactional writes with an undo log, and two-phase-commit
-// participation, all guarded by a store-level lock (strict two-phase
-// locking at store granularity).
+// predicate/projection/aggregation/sort/limit pushdown, hash indexes
+// and an ordered index on the first key column, transactional writes
+// with an in-memory undo log, and two-phase-commit participation, all
+// guarded by a store-level lock (strict two-phase locking at store
+// granularity).
 package relstore
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"gis/internal/expr"
@@ -43,11 +45,15 @@ type table struct {
 	// key columns (for TableInfo and fast point access).
 	key []int
 	// rows holds the committed data; nil rows are tombstones left by
-	// deletes and skipped by scans (compacted opportunistically).
+	// deletes. Positions are never reused, so index entries that point
+	// at a tombstone are harmless: every reader skips nil rows.
 	rows []types.Row
 	live int
-	// hashIdx maps indexed column → value hash → row positions.
+	// hashIdx maps indexed column → value hash → row positions, each
+	// bucket in ascending position order.
 	hashIdx map[int]map[uint64][]int
+	// ord is the ordered index on key[0].
+	ord ordIndex
 	// statsCache is invalidated by writes.
 	statsCache *stats.TableStats
 }
@@ -81,6 +87,10 @@ func (s *Store) CreateTable(name string, schema *types.Schema, keyCols ...int) e
 		schema:  schema.Clone(),
 		key:     append([]int(nil), keyCols...),
 		hashIdx: make(map[int]map[uint64][]int),
+		ord:     ordIndex{col: -1},
+	}
+	if len(keyCols) > 0 {
+		t.ord.col = keyCols[0]
 	}
 	for _, k := range keyCols {
 		t.hashIdx[k] = make(map[uint64][]int)
@@ -228,21 +238,26 @@ func (s *Store) Delete(ctx context.Context, tbl string, filter expr.Expr) (int64
 	return n, tx.Commit(ctx)
 }
 
-// insertLocked appends a row and maintains indexes. Caller holds mu.
+// The *Locked table methods below require the store write lock. They
+// may leave the ordered index stale; the write statement calling them
+// settles it (settleLocked) before returning.
+
+// insertLocked appends a row and maintains indexes.
 func (t *table) insertLocked(r types.Row) int {
 	pos := len(t.rows)
 	t.rows = append(t.rows, r)
 	t.live++
 	for col, idx := range t.hashIdx {
 		h := r[col].Hash(0)
-		idx[h] = append(idx[h], pos)
+		idx[h] = append(idx[h], pos) // pos is the largest yet: the bucket stays sorted
 	}
+	t.ordAppendLocked(pos, r)
 	t.statsCache = nil
 	return pos
 }
 
-// deleteLocked tombstones row pos. Index entries are left in place (they
-// point at a nil row, which probes skip); compaction rebuilds them.
+// deleteLocked tombstones row pos. Index entries are left in place:
+// they point at a nil row, which every probe skips.
 func (t *table) deleteLocked(pos int) types.Row {
 	old := t.rows[pos]
 	if old == nil {
@@ -250,8 +265,19 @@ func (t *table) deleteLocked(pos int) types.Row {
 	}
 	t.rows[pos] = nil
 	t.live--
+	t.ord.dead++
 	t.statsCache = nil
 	return old
+}
+
+// restoreLocked puts a deleted row back at pos (transaction rollback).
+// Its hash entries survived the delete; its ordered-index entry may
+// have been dropped by a rebuild since, so the index is rebuilt.
+func (t *table) restoreLocked(pos int, r types.Row) {
+	t.rows[pos] = r
+	t.live++
+	t.ord.stale = true
+	t.statsCache = nil
 }
 
 // replaceLocked overwrites row pos with r, keeping indexes consistent.
@@ -264,15 +290,15 @@ func (t *table) replaceLocked(pos int, r types.Row) types.Row {
 		if oh == nh {
 			continue
 		}
-		bucket := idx[oh]
-		for i, p := range bucket {
-			if p == pos {
-				bucket[i] = bucket[len(bucket)-1]
-				idx[oh] = bucket[:len(bucket)-1]
-				break
-			}
+		// Remove and insert in order, keeping both buckets sorted.
+		if i, found := slices.BinarySearch(idx[oh], pos); found {
+			idx[oh] = slices.Delete(idx[oh], i, i+1)
 		}
-		idx[nh] = append(idx[nh], pos)
+		i, _ := slices.BinarySearch(idx[nh], pos)
+		idx[nh] = slices.Insert(idx[nh], i, pos)
+	}
+	if k := t.ord.col; k >= 0 && old[k].Compare(r[k]) != 0 {
+		t.ord.stale = true
 	}
 	t.statsCache = nil
 	return old

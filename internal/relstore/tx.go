@@ -78,6 +78,7 @@ func (tx *Tx) Insert(_ context.Context, tbl string, rows []types.Row) (int64, er
 	if err != nil {
 		return 0, err
 	}
+	defer t.settleLocked()
 	var n int64
 	for _, r := range rows {
 		nr, err := normalizeRow(t.schema, r)
@@ -94,6 +95,19 @@ func (tx *Tx) Insert(_ context.Context, tbl string, rows []types.Row) (int64, er
 	return n, nil
 }
 
+// writeCandidates is candidateRows for a write statement: the index
+// paths' positions are copied into buf (grown as needed), because the
+// statement's own writes move hash-bucket entries and may rebuild the
+// ordered index. Every candidate is tested once, so a key-changing
+// update cannot revisit the row it just moved.
+func (t *table) writeCandidates(filter expr.Expr, buf []int) (cand []int, n int, all bool) {
+	cand, all = t.candidateRows(filter)
+	if all {
+		return nil, len(t.rows), true
+	}
+	return append(buf[:0], cand...), len(cand), false
+}
+
 // Update implements source.Writer within the transaction. filter is
 // bound over the table schema; nil matches every row.
 func (tx *Tx) Update(_ context.Context, tbl string, filter expr.Expr, set []source.SetClause) (int64, error) {
@@ -104,19 +118,21 @@ func (tx *Tx) Update(_ context.Context, tbl string, filter expr.Expr, set []sour
 	if err != nil {
 		return 0, err
 	}
+	defer t.settleLocked()
+	var buf [8]int // keyed writes copy their few positions here, not to the heap
+	cand, m, all := t.writeCandidates(filter, buf[:])
 	var n int64
-	for pos, r := range t.rows {
-		if r == nil {
-			continue
+	for i := 0; i < m; i++ {
+		pos := i
+		if !all {
+			pos = cand[i]
 		}
-		if filter != nil {
-			ok, err := expr.EvalBool(filter, r)
-			if err != nil {
-				return n, err
-			}
-			if !ok {
-				continue
-			}
+		r, ok, err := t.match(pos, filter)
+		if err != nil {
+			return n, err
+		}
+		if !ok {
+			continue
 		}
 		nr := r.Clone()
 		for _, sc := range set {
@@ -149,19 +165,21 @@ func (tx *Tx) Delete(_ context.Context, tbl string, filter expr.Expr) (int64, er
 	if err != nil {
 		return 0, err
 	}
+	defer t.settleLocked()
+	var buf [8]int // keyed writes copy their few positions here, not to the heap
+	cand, m, all := t.writeCandidates(filter, buf[:])
 	var n int64
-	for pos, r := range t.rows {
-		if r == nil {
-			continue
+	for i := 0; i < m; i++ {
+		pos := i
+		if !all {
+			pos = cand[i]
 		}
-		if filter != nil {
-			ok, err := expr.EvalBool(filter, r)
-			if err != nil {
-				return n, err
-			}
-			if !ok {
-				continue
-			}
+		_, ok, err := t.match(pos, filter)
+		if err != nil {
+			return n, err
+		}
+		if !ok {
+			continue
 		}
 		old := t.deleteLocked(pos)
 		tx.undo = append(tx.undo, undoRec{kind: undoDelete, t: t, pos: pos, old: old})
@@ -227,12 +245,13 @@ func (tx *Tx) Abort(context.Context) error {
 		case undoInsert:
 			u.t.deleteLocked(u.pos)
 		case undoDelete:
-			u.t.rows[u.pos] = u.old
-			u.t.live++
-			u.t.statsCache = nil
+			u.t.restoreLocked(u.pos, u.old)
 		case undoReplace:
 			u.t.replaceLocked(u.pos, u.old)
 		}
+	}
+	for _, u := range tx.undo {
+		u.t.settleLocked()
 	}
 	tx.undo = nil
 	tx.state = txAborted
