@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race lint lint-ratchet lint-fixtures lint-concurrency lint-deadlock lint-stats fmt vet check chaos overload bench
+.PHONY: build test race lint lint-ratchet lint-fixtures lint-concurrency lint-deadlock lint-stats fmt vet check chaos overload fuzz bench
 
 build:
 	$(GO) build ./...
@@ -75,6 +75,16 @@ chaos:
 overload:
 	$(GO) test -race -run TestChaosOverload -count=1 ./internal/core
 	$(GO) run ./cmd/gisbench -overload -tenants 8 -scale 0.05 -reps 1 -latency 200us -json | $(GO) run ./scripts/benchjson
+
+# Bounded runs of the native fuzz targets (go test -fuzz takes one
+# target per run): the wire decoders and frame reader must never panic
+# and must round-trip what they accept; so must the SQL parser and its
+# rendering. A crasher is written under the package's testdata/fuzz/.
+FUZZTIME ?= 10s
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecoder$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME) -parallel 2 ./internal/sql
 
 bench:
 	$(GO) test -bench=. -benchmem

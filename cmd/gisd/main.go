@@ -64,8 +64,8 @@ func main() {
 		maxInflight  = flag.Int("max-inflight", 0, "admission: max concurrently executing sub-queries (0 = unlimited)")
 		tenantRate   = flag.Float64("tenant-rate", 0, "admission: per-tenant sustained sub-queries/sec (0 = unlimited)")
 		tenantQuota  = flag.Int64("tenant-quota", 0, "admission: per-tenant result-stream memory quota in bytes (0 = unlimited)")
-		maxFrame     = flag.Int("max-frame-bytes", 0, "reject wire frames larger than this (0 = protocol default 16MiB)")
-		creditWindow = flag.Int("credit-window", 0, "flow control: max row frames in flight per stream (0 = protocol default 32)")
+		maxFrame     = flag.Int("max-frame-bytes", 0, "reject inbound wire frames larger than this; the handshake tells mediators, which then refuse to send them (0 = protocol default 16MiB)")
+		creditWindow = flag.Int("credit-window", 0, "flow control: row frames in flight per stream, the window the handshake grants every mediator connection (0 = protocol default 32; floor 2)")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "on SIGTERM, let in-flight sub-queries finish up to this long before closing")
 
 		tables tableFlag

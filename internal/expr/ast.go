@@ -67,10 +67,10 @@ func (c *ColRef) Eval(row types.Row) (types.Value, error) {
 // String implements Expr.
 func (c *ColRef) String() string {
 	if c.Table != "" {
-		return c.Table + "." + c.Name
+		return QuoteIdent(c.Table) + "." + QuoteIdent(c.Name)
 	}
 	if c.Name != "" {
-		return c.Name
+		return QuoteIdent(c.Name)
 	}
 	return "$" + strconv.Itoa(c.Index)
 }
@@ -460,7 +460,7 @@ func (c *Call) String() string {
 	for i, a := range c.Args {
 		parts[i] = a.String()
 	}
-	return c.Name + "(" + strings.Join(parts, ", ") + ")"
+	return QuoteIdent(c.Name) + "(" + strings.Join(parts, ", ") + ")"
 }
 
 // Children implements Expr.

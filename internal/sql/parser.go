@@ -9,12 +9,19 @@ import (
 	"gis/internal/types"
 )
 
+// maxNesting bounds how deeply expressions and subqueries may nest.
+// Every level costs several parser stack frames, so without a bound a
+// few MB of "((((" overflow the goroutine stack, which no recover can
+// catch.
+const maxNesting = 10000
+
 // Parser turns SQL text into statement ASTs.
 type Parser struct {
 	toks   []Token
 	pos    int
 	params []types.Value
 	nparam int
+	depth  int // current expression/subquery nesting
 }
 
 // Parse parses a single statement (an optional trailing semicolon is
@@ -85,6 +92,16 @@ func (p *Parser) errorf(format string, args ...any) error {
 	return fmt.Errorf("parse error at %s: %s", loc, fmt.Sprintf(format, args...))
 }
 
+// nest enters one nesting level, failing past maxNesting; the caller
+// leaves it with p.depth--.
+func (p *Parser) nest() error {
+	if p.depth >= maxNesting {
+		return p.errorf("nesting deeper than %d levels", maxNesting)
+	}
+	p.depth++
+	return nil
+}
+
 // acceptKeyword consumes kw if it is next and reports whether it did.
 func (p *Parser) acceptKeyword(kw string) bool {
 	t := p.peek()
@@ -144,7 +161,11 @@ func (p *Parser) parseStatement() (Statement, error) {
 	case "EXPLAIN":
 		p.pos++
 		analyze := p.acceptKeyword("ANALYZE")
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
 		inner, err := p.parseStatement()
+		p.depth--
 		if err != nil {
 			return nil, err
 		}
@@ -157,6 +178,16 @@ func (p *Parser) parseStatement() (Statement, error) {
 // parseSelect parses a full SELECT including UNION chains and trailing
 // ORDER BY / LIMIT / OFFSET (which attach to the head of the chain).
 func (p *Parser) parseSelect() (*SelectStmt, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	sel, err := p.parseUnion()
+	p.depth--
+	return sel, err
+}
+
+// parseUnion is parseSelect one nesting level down.
+func (p *Parser) parseUnion() (*SelectStmt, error) {
 	head, err := p.parseSelectCore()
 	if err != nil {
 		return nil, err
@@ -551,7 +582,14 @@ func (p *Parser) parseDelete() (Statement, error) {
 
 // ---- expression parsing (precedence climbing) ----
 
-func (p *Parser) parseExpr() (expr.Expr, error) { return p.parseOr() }
+func (p *Parser) parseExpr() (expr.Expr, error) {
+	if err := p.nest(); err != nil {
+		return nil, err
+	}
+	e, err := p.parseOr()
+	p.depth--
+	return e, err
+}
 
 func (p *Parser) parseOr() (expr.Expr, error) {
 	left, err := p.parseAnd()
@@ -589,7 +627,11 @@ func (p *Parser) parseAnd() (expr.Expr, error) {
 
 func (p *Parser) parseNot() (expr.Expr, error) {
 	if p.acceptKeyword("NOT") {
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
 		inner, err := p.parseNot()
+		p.depth--
 		if err != nil {
 			return nil, err
 		}
@@ -805,7 +847,11 @@ func (p *Parser) parseMultiplicative() (expr.Expr, error) {
 
 func (p *Parser) parseUnary() (expr.Expr, error) {
 	if p.acceptOp("-") {
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
 		inner, err := p.parseUnary()
+		p.depth--
 		if err != nil {
 			return nil, err
 		}
@@ -823,7 +869,12 @@ func (p *Parser) parseUnary() (expr.Expr, error) {
 		return expr.NewUnary(expr.OpNeg, inner), nil
 	}
 	if p.acceptOp("+") {
-		return p.parseUnary()
+		if err := p.nest(); err != nil {
+			return nil, err
+		}
+		inner, err := p.parseUnary()
+		p.depth--
+		return inner, err
 	}
 	return p.parsePrimary()
 }

@@ -364,27 +364,44 @@ func TestParseRightJoin(t *testing.T) {
 		"SELECT a FROM r RIGHT JOIN s ON (r.id = s.id)")
 }
 
+// roundTripCorpus covers every statement form; TestParseIdempotence
+// checks it and FuzzParse seeds from it.
+var roundTripCorpus = []string{
+	"SELECT * FROM t",
+	"SELECT DISTINCT a, b + 1 AS c FROM t WHERE a IN (1, 2) ORDER BY c DESC LIMIT 3 OFFSET 1",
+	"SELECT t.a, u.b FROM t JOIN u ON t.id = u.id LEFT JOIN v ON u.k = v.k WHERE t.a LIKE 'x%'",
+	"SELECT a FROM r RIGHT JOIN s ON r.id = s.id",
+	"SELECT region, COUNT(*), SUM(x) FROM t GROUP BY region HAVING COUNT(*) > 2",
+	"SELECT a FROM t UNION ALL SELECT b FROM u UNION SELECT c FROM v",
+	"SELECT CASE WHEN a > 1 THEN 'x' ELSE 'y' END FROM t",
+	"SELECT CAST(a AS FLOAT), COALESCE(b, 0) FROM t",
+	"SELECT x FROM (SELECT a AS x FROM t WHERE a IS NOT NULL) AS d",
+	"SELECT a FROM t WHERE EXISTS (SELECT 1 FROM u WHERE x = 1)",
+	"SELECT a FROM t WHERE a BETWEEN 1 AND 10 AND b NOT LIKE '%z'",
+	"INSERT INTO t (a, b) VALUES (1, 'x'), (2, NULL)",
+	"UPDATE t SET a = a + 1, b = 'y' WHERE a < 10",
+	"DELETE FROM t WHERE a IN (SELECT b FROM u)",
+	"EXPLAIN SELECT a FROM t",
+	`SELECT "from", "a b" AS "select", 3.0 / 2 FROM "my table" AS "x""y"`,
+}
+
+// TestRenderQuotesIdentifiersAndKeepsFloats: the rendering EXPLAIN
+// ANALYZE re-parses must keep odd identifiers and float literals intact.
+func TestRenderQuotesIdentifiersAndKeepsFloats(t *testing.T) {
+	stmt, err := Parse(`SELECT "from", "a b" AS "select", 3.0 / 2, -0.0 FROM "my table"`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `SELECT "from", "a b" AS "select", (3.0 / 2), -0.0 FROM "my table"`
+	if got := stmt.String(); got != want {
+		t.Errorf("rendering = %s, want %s", got, want)
+	}
+}
+
 // TestParseIdempotence: rendering a parsed statement and re-parsing it
 // reproduces the same rendering (the canonical form is a fixed point).
 func TestParseIdempotence(t *testing.T) {
-	corpus := []string{
-		"SELECT * FROM t",
-		"SELECT DISTINCT a, b + 1 AS c FROM t WHERE a IN (1, 2) ORDER BY c DESC LIMIT 3 OFFSET 1",
-		"SELECT t.a, u.b FROM t JOIN u ON t.id = u.id LEFT JOIN v ON u.k = v.k WHERE t.a LIKE 'x%'",
-		"SELECT a FROM r RIGHT JOIN s ON r.id = s.id",
-		"SELECT region, COUNT(*), SUM(x) FROM t GROUP BY region HAVING COUNT(*) > 2",
-		"SELECT a FROM t UNION ALL SELECT b FROM u UNION SELECT c FROM v",
-		"SELECT CASE WHEN a > 1 THEN 'x' ELSE 'y' END FROM t",
-		"SELECT CAST(a AS FLOAT), COALESCE(b, 0) FROM t",
-		"SELECT x FROM (SELECT a AS x FROM t WHERE a IS NOT NULL) AS d",
-		"SELECT a FROM t WHERE EXISTS (SELECT 1 FROM u WHERE x = 1)",
-		"SELECT a FROM t WHERE a BETWEEN 1 AND 10 AND b NOT LIKE '%z'",
-		"INSERT INTO t (a, b) VALUES (1, 'x'), (2, NULL)",
-		"UPDATE t SET a = a + 1, b = 'y' WHERE a < 10",
-		"DELETE FROM t WHERE a IN (SELECT b FROM u)",
-		"EXPLAIN SELECT a FROM t",
-	}
-	for _, src := range corpus {
+	for _, src := range roundTripCorpus {
 		first, err := Parse(src)
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", src, err)
@@ -396,6 +413,32 @@ func TestParseIdempotence(t *testing.T) {
 		}
 		if second.String() != canonical {
 			t.Errorf("not a fixed point:\n 1st %q\n 2nd %q", canonical, second.String())
+		}
+	}
+}
+
+// TestParseNestingBound: nesting up to maxNesting parses, one level
+// more is a parse error rather than a stack overflow, and so is the
+// same for NOT chains, sign chains, and nested subqueries.
+func TestParseNestingBound(t *testing.T) {
+	// The SELECT and its select-list expression take two levels.
+	parens := func(n int) string {
+		return "SELECT " + strings.Repeat("(", n) + "1" + strings.Repeat(")", n) + " FROM t"
+	}
+	if _, err := Parse(parens(maxNesting - 2)); err != nil {
+		t.Fatalf("nesting at the bound: %v", err)
+	}
+	past := []string{
+		parens(maxNesting - 1),
+		"SELECT a FROM t WHERE " + strings.Repeat("NOT ", maxNesting) + "a",
+		"SELECT " + strings.Repeat("- ", maxNesting) + "1 FROM t",
+		strings.Repeat("SELECT * FROM (", maxNesting) + "SELECT 1" + strings.Repeat(") AS d", maxNesting),
+		strings.Repeat("EXPLAIN ", maxNesting) + "SELECT 1",
+	}
+	for _, src := range past {
+		_, err := Parse(src)
+		if err == nil || !strings.Contains(err.Error(), "parse error") || !strings.Contains(err.Error(), "nesting") {
+			t.Errorf("Parse(%.40q…) past the bound = %v, want a nesting parse error", src, err)
 		}
 	}
 }

@@ -176,6 +176,14 @@ func (v Value) SQL() string {
 		return "'" + strings.ReplaceAll(v.s, "'", "''") + "'"
 	case KindTime:
 		return "'" + v.t.Format(time.RFC3339Nano) + "'"
+	case KindFloat:
+		// An integral float below 1e21 prints with one decimal so the
+		// literal reads back as a FLOAT rather than an INT; a larger
+		// one prints with an exponent, which does the same.
+		if v.f == math.Trunc(v.f) && math.Abs(v.f) < 1e21 {
+			return strconv.FormatFloat(v.f, 'f', 1, 64)
+		}
+		return v.String()
 	default:
 		return v.String()
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,15 +46,6 @@ type Client struct {
 	// tenant rides the per-connection hello handshake so the component
 	// system can enforce its own per-tenant quotas on sub-queries.
 	tenant string
-	// creditWindow is the flow-control window this client requests
-	// (msgRows frames in flight before a grant is required); 0
-	// disables flow control.
-	creditWindow int
-	// maxFrameBytes bounds inbound frames on every connection.
-	maxFrameBytes int
-	// legacy is set once a server rejects msgHello: the link proceeds
-	// without tenancy or flow control and never retries the handshake.
-	legacy atomic.Bool
 	// rtt holds the link's EWMA round-trip nanoseconds, observed on
 	// request/response calls; Execute subtracts half of it from
 	// propagated deadlines (the one-way WAN share).
@@ -107,35 +99,10 @@ func WithConnectTimeout(d time.Duration) Option {
 	return func(c *Client) { c.connectTimeout = d }
 }
 
-// WithTraceTrailerTimeout overrides how long Execute result streams
-// wait for the trace trailer after the final msgEnd (default 2s). Tests
-// use a short timeout to exercise the degraded path quickly.
-func WithTraceTrailerTimeout(d time.Duration) Option {
-	return func(c *Client) { c.trailerTimeout = d }
-}
-
 // WithTenant sets the tenant announced in the connection handshake, so
 // the component system can attribute and quota this link's sub-queries.
 func WithTenant(tenant string) Option {
 	return func(c *Client) { c.tenant = tenant }
-}
-
-// WithCreditWindow overrides the requested flow-control window
-// (msgRows frames in flight before the server needs a credit grant).
-// 0 disables flow control for this link; the effective window is
-// negotiated down to the server's limit in the handshake.
-func WithCreditWindow(frames int) Option {
-	return func(c *Client) { c.creditWindow = frames }
-}
-
-// WithMaxFrameBytes bounds inbound frames on this link's connections;
-// larger frames are rejected with ErrFrameTooLarge before allocation.
-func WithMaxFrameBytes(n int) Option {
-	return func(c *Client) {
-		if n > 0 {
-			c.maxFrameBytes = n
-		}
-	}
 }
 
 // DialContext connects to a wire server, bounding the connect by ctx
@@ -146,8 +113,6 @@ func DialContext(ctx context.Context, addr string, opts ...Option) (*Client, err
 		name:           addr,
 		connectTimeout: DefaultDialTimeout,
 		trailerTimeout: defaultTrailerTimeout,
-		creditWindow:   defaultCreditWindow,
-		maxFrameBytes:  maxFrame,
 		ctrlSem:        make(chan struct{}, 1),
 	}
 	for _, o := range opts {
@@ -176,7 +141,6 @@ func (c *Client) dial(ctx context.Context) (*frameConn, error) {
 	fc := newFrameConn(conn, c.up, c.down)
 	fc.metrics = c.lm
 	fc.inj = c.inj
-	fc.limit = c.maxFrameBytes
 	fc.rttEWMA = &c.rtt
 	if err := c.handshake(ctx, fc); err != nil {
 		c.discard(fc)
@@ -185,20 +149,15 @@ func (c *Client) dial(ctx context.Context) (*frameConn, error) {
 	return fc, nil
 }
 
-// handshake sends msgHello on a fresh connection and applies the
-// negotiated credit window and frame bounds. The exchange bypasses the
-// fault injector deliberately: it is connection setup, not an operation
-// in the seeded fault sequence, so enabling it does not perturb
-// fault-plan decision streams. A non-OK answer (an old server's
-// "unknown tag" msgErr) marks the whole link legacy — the connection,
-// and every later one on this link, proceeds without tenancy or flow
-// control, exactly as before this protocol revision.
+// handshake sends msgHello on a fresh connection and adopts the
+// server's credit window and inbound frame bound. A refusal fails the
+// dial with ErrProtocolVersion. The exchange bypasses the fault
+// injector deliberately: it is connection setup, not an operation in
+// the seeded fault sequence, so it does not perturb fault-plan
+// decision streams.
 func (c *Client) handshake(ctx context.Context, fc *frameConn) error {
-	if c.legacy.Load() {
-		return nil
-	}
 	var e Encoder
-	e.hello(&hello{Version: helloVersion, Tenant: c.tenant, Window: c.creditWindow, MaxRead: c.maxFrameBytes})
+	e.hello(c.tenant)
 	if err := fc.writeFrame(ctx, msgHello, e.Bytes()); err != nil {
 		return err
 	}
@@ -206,19 +165,11 @@ func (c *Client) handshake(ctx context.Context, fc *frameConn) error {
 	if err != nil {
 		return err
 	}
-	if tag != msgOK {
-		c.legacy.Store(true)
-		return nil
-	}
-	rep, err := NewDecoder(resp).helloReply()
-	if err != nil {
+	if resp, err = checkResp(tag, resp); err != nil {
 		return err
 	}
-	fc.window = negotiateWindow(c.creditWindow, rep.Window)
-	if rep.MaxRead > 0 && rep.MaxRead < fc.wlimit {
-		fc.wlimit = rep.MaxRead
-	}
-	return nil
+	fc.window, fc.wlimit, err = NewDecoder(resp).helloReply()
+	return err
 }
 
 // getConn returns a pooled or fresh connection for a result stream.
@@ -326,6 +277,9 @@ func checkResp(tag byte, payload []byte) ([]byte, error) {
 		if err != nil {
 			return nil, fmt.Errorf("wire: malformed error response")
 		}
+		if rest, ok := strings.CutPrefix(msg, ErrProtocolVersion.Error()); ok {
+			return nil, fmt.Errorf("%w%s", ErrProtocolVersion, rest)
+		}
 		// Overload sheds travel as a marked error string so the typed
 		// OverloadError (reason, retryable hint) survives the wire.
 		if oe, ok := admission.ParseWireError(msg); ok {
@@ -429,19 +383,11 @@ func (c *Client) Execute(ctx context.Context, q *source.Query) (source.RowIter, 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	var e Encoder
-	if err := e.Query(q); err != nil {
-		return nil, err
-	}
-	// Propagate the distributed trace context: the server runs the
-	// fragment under its own trace and returns the finished subtree in
-	// a trailer frame after the row stream (see tracewire.go).
-	var tc *traceContext
+	// Propagate the distributed trace id: the server runs the fragment
+	// under its own trace and returns the finished subtree in a trailer
+	// frame after the row stream (see tracewire.go).
+	traceID := obs.TraceFrom(ctx).ID()
 	parent := obs.CurrentSpan(ctx)
-	if tr := obs.TraceFrom(ctx); tr != nil {
-		tc = &traceContext{TraceID: tr.ID(), ParentSpan: parent.ID(), Sampled: true}
-	}
-	e.traceContext(tc)
 	// Ship the remaining deadline budget, shrunk by the link's one-way
 	// latency estimate, so the remote fragment's deadline expires no
 	// later than ours. A budget the WAN latency has already consumed
@@ -450,7 +396,10 @@ func (c *Client) Execute(ctx context.Context, q *source.Query) (source.RowIter, 
 	if !ok {
 		return nil, context.DeadlineExceeded
 	}
-	e.deadlineBudget(budget)
+	var e Encoder
+	if err := e.execute(q, traceID, parent.ID(), budget); err != nil {
+		return nil, err
+	}
 	fc, err := c.getConn(ctx)
 	if err != nil {
 		return nil, err
@@ -465,13 +414,7 @@ func (c *Client) Execute(ctx context.Context, q *source.Query) (source.RowIter, 
 		c.putConn(fc)
 		return nil, err
 	}
-	it := &streamIter{ctx: ctx, c: c, fc: fc, window: fc.window}
-	if tc != nil {
-		it.traced = true
-		it.traceID = tc.TraceID
-		it.parent = parent
-	}
-	return it, nil
+	return &streamIter{ctx: ctx, c: c, fc: fc, traceID: traceID, parent: parent}, nil
 }
 
 func (c *Client) discard(fc *frameConn) {
@@ -481,8 +424,8 @@ func (c *Client) discard(fc *frameConn) {
 }
 
 // streamIter reads msgRows batches until msgEnd, then — when this
-// stream carried a trace — consumes the msgTrace trailer and stitches
-// the remote subtree under the parent span.
+// stream carried a trace id — consumes the msgTrace trailer and
+// stitches the remote subtree under the parent span.
 type streamIter struct {
 	ctx   context.Context
 	c     *Client
@@ -492,15 +435,12 @@ type streamIter struct {
 	done  bool
 	err   error
 
-	traced  bool
-	traceID string
+	traceID string // "" = untraced
 	parent  *obs.Span
 
-	// window is the stream's negotiated credit window (0 = flow control
-	// off); pending counts msgRows frames consumed since the last
-	// grant. Granting at half the window keeps the server streaming
-	// while bounding its in-flight frames.
-	window  int
+	// pending counts msgRows frames consumed since the last credit
+	// grant. Granting at half the connection's window keeps the server
+	// streaming while bounding its in-flight frames.
 	pending int
 }
 
@@ -542,7 +482,7 @@ func (it *streamIter) Next() (types.Row, error) {
 	switch tag {
 	case msgEnd:
 		it.done = true
-		if it.traced && len(payload) > 0 && payload[0] == 1 {
+		if it.traceID != "" {
 			it.finishTrailer()
 		} else {
 			it.c.putConn(it.fc)
@@ -575,17 +515,15 @@ func (it *streamIter) Next() (types.Row, error) {
 			}
 		}
 		it.pos = 0
-		if it.window > 0 {
-			it.pending++
-			if it.pending >= it.window/2 {
-				var ge Encoder
-				ge.Uvarint(uint64(it.pending))
-				if err := it.fc.writeFrame(it.ctx, msgCredit, ge.Bytes()); err != nil {
-					it.fail(err)
-					return nil, err
-				}
-				it.pending = 0
+		it.pending++
+		if it.pending >= it.fc.window/2 {
+			var ge Encoder
+			ge.Uvarint(uint64(it.pending))
+			if err := it.fc.writeFrame(it.ctx, msgCredit, ge.Bytes()); err != nil {
+				it.fail(err)
+				return nil, err
 			}
+			it.pending = 0
 		}
 		return it.Next()
 	default:

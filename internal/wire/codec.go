@@ -6,6 +6,7 @@ package wire
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -227,10 +228,21 @@ func (e *Encoder) Query(q *source.Query) error {
 	return nil
 }
 
+// maxDecodeDepth bounds how deeply Expr and Span may nest. Each level
+// costs a few stack frames, so without a bound a hostile 8 MiB frame of
+// nested nodes overflows the goroutine stack, which no recover catches.
+// A left-deep 10 000-term OR chain still fits.
+const maxDecodeDepth = 1 << 14
+
+// ErrTooDeep marks a payload whose expression or span tree nests deeper
+// than the decoder allows.
+var ErrTooDeep = errors.New("wire: value nests too deeply")
+
 // Decoder reads protocol values from a byte slice.
 type Decoder struct {
-	buf []byte
-	pos int
+	buf   []byte
+	pos   int
+	depth int // current Expr/Span nesting
 }
 
 // NewDecoder wraps a payload.
@@ -238,6 +250,36 @@ func NewDecoder(b []byte) *Decoder { return &Decoder{buf: b} }
 
 // Remaining reports unread bytes.
 func (d *Decoder) Remaining() int { return len(d.buf) - d.pos }
+
+// end fails when bytes remain after a message's last field: every
+// message has fixed fields, so leftovers mean a malformed peer.
+func (d *Decoder) end() error {
+	if n := d.Remaining(); n != 0 {
+		return fmt.Errorf("wire: %d trailing bytes after message", n)
+	}
+	return nil
+}
+
+// enter descends one Expr/Span nesting level, failing with ErrTooDeep
+// past maxDecodeDepth. The caller leaves with d.depth-- (not a defer:
+// Decoder methods are on the hot path).
+func (d *Decoder) enter() error {
+	if d.depth >= maxDecodeDepth {
+		return ErrTooDeep
+	}
+	d.depth++
+	return nil
+}
+
+// nested decodes a child expression one level deeper.
+func (d *Decoder) nested() (expr.Expr, error) {
+	if err := d.enter(); err != nil {
+		return nil, err
+	}
+	x, err := d.Expr()
+	d.depth--
+	return x, err
+}
 
 func (d *Decoder) take(n int) ([]byte, error) {
 	if d.Remaining() < n {
@@ -330,6 +372,9 @@ func (d *Decoder) Value() (types.Value, error) {
 		n, err := d.Uvarint()
 		if err != nil {
 			return types.Null, err
+		}
+		if n > uint64(d.Remaining()) {
+			return types.Null, io.ErrUnexpectedEOF
 		}
 		b, err := d.take(int(n))
 		if err != nil {
@@ -446,11 +491,11 @@ func (d *Decoder) Expr() (expr.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l, err := d.Expr()
+		l, err := d.nested()
 		if err != nil {
 			return nil, err
 		}
-		r, err := d.Expr()
+		r, err := d.nested()
 		if err != nil {
 			return nil, err
 		}
@@ -460,7 +505,7 @@ func (d *Decoder) Expr() (expr.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		inner, err := d.Expr()
+		inner, err := d.nested()
 		if err != nil {
 			return nil, err
 		}
@@ -470,7 +515,7 @@ func (d *Decoder) Expr() (expr.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		inner, err := d.Expr()
+		inner, err := d.nested()
 		if err != nil {
 			return nil, err
 		}
@@ -480,7 +525,7 @@ func (d *Decoder) Expr() (expr.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		operand, err := d.Expr()
+		operand, err := d.nested()
 		if err != nil {
 			return nil, err
 		}
@@ -493,13 +538,13 @@ func (d *Decoder) Expr() (expr.Expr, error) {
 		}
 		list := make([]expr.Expr, n)
 		for i := range list {
-			if list[i], err = d.Expr(); err != nil {
+			if list[i], err = d.nested(); err != nil {
 				return nil, err
 			}
 		}
 		return &expr.InList{E: operand, List: list, Negate: neg}, nil
 	case exTagCase:
-		operand, err := d.Expr()
+		operand, err := d.nested()
 		if err != nil {
 			return nil, err
 		}
@@ -512,14 +557,14 @@ func (d *Decoder) Expr() (expr.Expr, error) {
 		}
 		whens := make([]expr.When, n)
 		for i := range whens {
-			if whens[i].Cond, err = d.Expr(); err != nil {
+			if whens[i].Cond, err = d.nested(); err != nil {
 				return nil, err
 			}
-			if whens[i].Then, err = d.Expr(); err != nil {
+			if whens[i].Then, err = d.nested(); err != nil {
 				return nil, err
 			}
 		}
-		els, err := d.Expr()
+		els, err := d.nested()
 		if err != nil {
 			return nil, err
 		}
@@ -529,7 +574,7 @@ func (d *Decoder) Expr() (expr.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		inner, err := d.Expr()
+		inner, err := d.nested()
 		if err != nil {
 			return nil, err
 		}
@@ -548,7 +593,7 @@ func (d *Decoder) Expr() (expr.Expr, error) {
 		}
 		args := make([]expr.Expr, n)
 		for i := range args {
-			if args[i], err = d.Expr(); err != nil {
+			if args[i], err = d.nested(); err != nil {
 				return nil, err
 			}
 		}

@@ -1,7 +1,9 @@
 package wire
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"testing"
 	"testing/quick"
 	"time"
@@ -163,6 +165,69 @@ func TestDecoderGarbage(t *testing.T) {
 	}
 	if _, err := NewDecoder([]byte{0xee}).Expr(); err == nil {
 		t.Error("garbage expr tag must error")
+	}
+	// A bytes length of 2⁶³ or more must not become a negative slice
+	// bound.
+	var huge Encoder
+	huge.Byte(byte(types.KindBytes))
+	huge.Uvarint(1 << 63)
+	huge.Byte(0)
+	if _, err := NewDecoder(huge.Bytes()).Value(); err == nil {
+		t.Error("bytes length past the payload must error")
+	}
+	// Fixed-field messages reject trailing bytes.
+	var ex Encoder
+	if err := ex.execute(source.NewScan("t"), "", 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	ex.Byte(0)
+	if _, err := NewDecoder(ex.Bytes()).execute(); err == nil {
+		t.Error("msgExecute with trailing bytes must error")
+	}
+}
+
+// TestDecoderDepthLimit: a left-deep 10 000-term OR chain round-trips,
+// while 4M nested unary nodes (8 MiB, under the frame bound) and an
+// over-deep span tree fail with ErrTooDeep instead of overflowing the
+// stack.
+func TestDecoderDepthLimit(t *testing.T) {
+	var chain expr.Expr = expr.NewConst(types.NewBool(false))
+	for i := 1; i < 10000; i++ {
+		chain = expr.NewBinary(expr.OpOr, chain, expr.NewBinary(expr.OpEq,
+			expr.NewBoundColRef(0, types.KindInt, "x"), expr.NewConst(types.NewInt(int64(i)))))
+	}
+	var e Encoder
+	if err := e.Expr(chain); err != nil {
+		t.Fatal(err)
+	}
+	got, err := NewDecoder(e.Bytes()).Expr()
+	if err != nil {
+		t.Fatalf("10 000-term OR chain: %v", err)
+	}
+	var again Encoder
+	if err := again.Expr(got); err != nil || !bytes.Equal(again.Bytes(), e.Bytes()) {
+		t.Errorf("10 000-term OR chain did not round-trip (%v)", err)
+	}
+
+	const deep = 4 << 20
+	nested := make([]byte, 0, 2*deep+2)
+	for i := 0; i < deep; i++ {
+		nested = append(nested, exTagUnary, byte(expr.OpNot))
+	}
+	nested = append(nested, exTagNil)
+	if _, err := NewDecoder(nested).Expr(); !errors.Is(err, ErrTooDeep) {
+		t.Errorf("4M-deep expression = %v, want ErrTooDeep", err)
+	}
+
+	// Each span level: empty kind and name, zero start and duration, no
+	// attrs, one child.
+	var spans []byte
+	for i := 0; i <= maxDecodeDepth; i++ {
+		spans = append(spans, 0, 0, 0, 0, 0, 1)
+	}
+	spans = append(spans, 0, 0, 0, 0, 0, 0)
+	if _, err := NewDecoder(spans).Span(); !errors.Is(err, ErrTooDeep) {
+		t.Errorf("over-deep span tree = %v, want ErrTooDeep", err)
 	}
 }
 

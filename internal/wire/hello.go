@@ -1,155 +1,135 @@
 package wire
 
-// Session handshake and deadline propagation.
+// Session handshake and the msgExecute request.
 //
-// Hello: a client that wants tenancy, flow control, or frame-bound
-// negotiation sends msgHello as the first frame on every fresh
-// connection: (version, tenant, requested credit window, inbound frame
-// bound). The server answers msgOK with (version, granted window — the
-// min of both sides, 0 when either side disables it — and its own
-// inbound frame bound); each side then lowers its outbound frame bound
-// to the peer's inbound one. A server that predates the tag answers
-// msgErr ("unknown message tag"), which the client records as "legacy
-// peer" for the whole link and never sends hello again: the connection
-// proceeds exactly as before this protocol revision.
+// Hello: the first frame on every connection is msgHello (version,
+// tenant). When the version equals helloVersion the server answers
+// msgOK (credit window, inbound frame bound), both set by the server
+// alone: the client streams under that window and lowers its outbound
+// frame bound to the advertised one. Any other first frame, or any
+// other version, gets a msgErr carrying ErrProtocolVersion and the
+// server closes the connection, so a mismatched peer fails at dial
+// rather than mid-query.
 //
-// Deadlines: Client.Execute appends the query's remaining time budget
-// (µs, uvarint, 0 = none) after the trace context in the msgExecute
-// payload, decremented by the link's observed one-way latency (half
-// the RTT EWMA) so the server-side deadline never outlives the
-// client's. Like the trace context, the field is Decoder.Remaining-
-// gated: old peers simply never see it, new servers treat a missing
-// field as "no deadline". The server enforces the budget with
-// context.WithTimeout around the fragment's execution, so a propagated
-// deadline cancels the component store's work mid-scan.
+// Execute: msgExecute has fixed fields, in order — the query, the
+// trace id ("" = untraced) followed by the parent span id when the id
+// is non-empty, and the remaining time budget (µs, 0 = none). The
+// server rejects trailing bytes. The client decrements the budget by
+// the link's observed one-way latency (half the RTT EWMA) so the
+// server-side deadline never outlives the client's; the server
+// enforces it with context.WithTimeout around the fragment's execution,
+// so a propagated deadline cancels the component store's work
+// mid-scan.
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"time"
+
+	"gis/internal/source"
 )
 
 // helloVersion is the protocol revision announced in msgHello.
-const helloVersion = 1
+const helloVersion = 2
 
-// defaultCreditWindow is how many msgRows frames either side is
-// willing to have in flight before requiring a credit grant. The
-// window trades stream throughput against peak per-stream buffering:
-// at 256 rows per frame, 32 frames keep ~8k rows in flight.
+// ErrProtocolVersion marks a connection whose peer did not open with a
+// msgHello of this build's protocol version. The server reports it in
+// a msgErr and closes the connection; the client's dial fails with it.
+var ErrProtocolVersion = errors.New("wire: protocol version mismatch")
+
+// defaultCreditWindow is how many msgRows frames a server lets a
+// stream have in flight before requiring a credit grant. The window
+// trades stream throughput against peak per-stream buffering: at 256
+// rows per frame, 32 frames keep ~8k rows in flight.
 const defaultCreditWindow = 32
 
 // minCreditWindow keeps the grant protocol deadlock-free: the client
 // grants at half the window, so the window must be at least 2.
 const minCreditWindow = 2
 
-// hello is the decoded msgHello request.
-type hello struct {
-	Version int
-	Tenant  string
-	Window  int // requested credit window (frames); 0 disables
-	MaxRead int // sender's inbound frame bound (bytes)
+func (e *Encoder) hello(tenant string) {
+	e.Uvarint(helloVersion)
+	e.String(tenant)
 }
 
-func (e *Encoder) hello(h *hello) {
-	e.Uvarint(uint64(h.Version))
-	e.String(h.Tenant)
-	e.Uvarint(uint64(h.Window))
-	e.Uvarint(uint64(h.MaxRead))
-}
-
-func (d *Decoder) hello() (*hello, error) {
-	h := &hello{}
+// hello decodes a msgHello payload and returns its tenant. Any version
+// other than helloVersion fails with ErrProtocolVersion.
+func (d *Decoder) hello() (string, error) {
 	v, err := d.Uvarint()
 	if err != nil {
-		return nil, err
+		return "", err
 	}
-	h.Version = int(v)
-	if h.Tenant, err = d.String(); err != nil {
-		return nil, err
+	if v != helloVersion {
+		return "", fmt.Errorf("%w: peer sent version %d, want %d", ErrProtocolVersion, v, helloVersion)
 	}
+	tenant, err := d.String()
+	if err != nil {
+		return "", err
+	}
+	return tenant, d.end()
+}
+
+// helloReply encodes the server's msgOK answer to msgHello: the credit
+// window it grants every stream and its inbound frame bound.
+func (e *Encoder) helloReply(window, maxRead int) {
+	e.Uvarint(uint64(window))
+	e.Uvarint(uint64(maxRead))
+}
+
+func (d *Decoder) helloReply() (window, maxRead int, err error) {
 	w, err := d.Uvarint()
 	if err != nil {
-		return nil, err
+		return 0, 0, err
 	}
-	h.Window = int(w)
 	m, err := d.Uvarint()
 	if err != nil {
-		return nil, err
+		return 0, 0, err
 	}
-	h.MaxRead = int(m)
-	return h, nil
+	return int(w), int(m), d.end()
 }
 
-// helloReply is the server's msgOK answer to msgHello.
-type helloReply struct {
-	Version int
-	Window  int // granted credit window; min(client, server), 0 = off
-	MaxRead int // server's inbound frame bound
+// execute encodes a msgExecute payload.
+func (e *Encoder) execute(q *source.Query, traceID string, parentSpan uint64, budget time.Duration) error {
+	if err := e.Query(q); err != nil {
+		return err
+	}
+	e.String(traceID)
+	if traceID != "" {
+		e.Uvarint(parentSpan)
+	}
+	e.Uvarint(uint64(max(budget.Microseconds(), 0)))
+	return nil
 }
 
-func (e *Encoder) helloReply(h *helloReply) {
-	e.Uvarint(uint64(h.Version))
-	e.Uvarint(uint64(h.Window))
-	e.Uvarint(uint64(h.MaxRead))
+// executeReq is a decoded msgExecute request.
+type executeReq struct {
+	q          *source.Query
+	traceID    string // "" = untraced
+	parentSpan uint64
+	budget     time.Duration // 0 = no deadline
 }
 
-func (d *Decoder) helloReply() (*helloReply, error) {
-	h := &helloReply{}
-	v, err := d.Uvarint()
-	if err != nil {
-		return nil, err
+func (d *Decoder) execute() (executeReq, error) {
+	var r executeReq
+	var err error
+	if r.q, err = d.Query(); err != nil {
+		return r, err
 	}
-	h.Version = int(v)
-	w, err := d.Uvarint()
-	if err != nil {
-		return nil, err
+	if r.traceID, err = d.String(); err != nil {
+		return r, err
 	}
-	h.Window = int(w)
-	m, err := d.Uvarint()
-	if err != nil {
-		return nil, err
-	}
-	h.MaxRead = int(m)
-	return h, nil
-}
-
-// negotiateWindow combines both sides' credit windows: 0 on either
-// side disables flow control; otherwise the smaller window wins, with
-// the protocol's floor applied.
-func negotiateWindow(client, server int) int {
-	if client <= 0 || server <= 0 {
-		return 0
-	}
-	w := client
-	if server < w {
-		w = server
-	}
-	if w < minCreditWindow {
-		w = minCreditWindow
-	}
-	return w
-}
-
-// deadlineBudget appends the remaining time budget (µs; 0 = none) to a
-// msgExecute payload.
-func (e *Encoder) deadlineBudget(budget time.Duration) {
-	us := budget.Microseconds()
-	if us < 0 {
-		us = 0
-	}
-	e.Uvarint(uint64(us))
-}
-
-// deadlineBudget reads the optional time budget from the tail of a
-// msgExecute payload; absent (old peer) decodes as 0.
-func (d *Decoder) deadlineBudget() (time.Duration, error) {
-	if d.Remaining() == 0 {
-		return 0, nil
+	if r.traceID != "" {
+		if r.parentSpan, err = d.Uvarint(); err != nil {
+			return r, err
+		}
 	}
 	us, err := d.Uvarint()
 	if err != nil {
-		return 0, err
+		return r, err
 	}
-	return time.Duration(us) * time.Microsecond, nil
+	r.budget = time.Duration(us) * time.Microsecond
+	return r, d.end()
 }
 
 // executeBudget derives the budget to ship with a query: the context's

@@ -3,6 +3,7 @@ package wire
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"sync"
@@ -17,25 +18,22 @@ import (
 // --- handshake & credit flow ---------------------------------------
 
 func TestHelloNegotiatesWindow(t *testing.T) {
-	_, cl := startRelServer(t, 10, WithCreditWindow(4), WithTenant("acme"))
+	_, cl := startRelServerWith(t, 10, []ServerOption{WithServerCreditWindow(4)}, WithTenant("acme"))
 	fc, err := cl.getConn(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.putConn(fc)
-	if cl.legacy.Load() {
-		t.Error("modern server must not mark the link legacy")
-	}
-	// The server's default window (32) is larger, so min wins.
+	// The server's window alone sets the connection's.
 	if fc.window != 4 {
-		t.Errorf("negotiated window = %d, want 4", fc.window)
+		t.Errorf("granted window = %d, want 4", fc.window)
 	}
 }
 
 func TestCreditFlowStreamsCompletely(t *testing.T) {
 	// The minimum window forces many block/grant cycles: 3000 rows =
 	// 12 batches through a 2-frame window.
-	_, cl := startRelServer(t, 3000, WithCreditWindow(2))
+	_, cl := startRelServerWith(t, 3000, []ServerOption{WithServerCreditWindow(2)})
 	for round := 0; round < 3; round++ {
 		it, err := cl.Execute(ctx, source.NewScan("items"))
 		if err != nil {
@@ -49,7 +47,7 @@ func TestCreditFlowStreamsCompletely(t *testing.T) {
 }
 
 func TestCreditFlowSlowConsumer(t *testing.T) {
-	_, cl := startRelServer(t, 2000, WithCreditWindow(2))
+	_, cl := startRelServerWith(t, 2000, []ServerOption{WithServerCreditWindow(2)})
 	it, err := cl.Execute(ctx, source.NewScan("items"))
 	if err != nil {
 		t.Fatal(err)
@@ -75,113 +73,80 @@ func TestCreditFlowSlowConsumer(t *testing.T) {
 	}
 }
 
-// --- interop with peers predating the handshake --------------------
-
-// serveLegacy runs a minimal pre-handshake wire server: msgHello gets
-// the "unknown tag" msgErr an old binary would send, msgTables a valid
-// reply. Everything else closes the connection.
-func serveLegacy(t *testing.T) string {
+// rawFirstFrame opens a bare connection to addr, sends one frame in
+// place of the client handshake, and returns the server's answer as
+// the client decodes it. The server must then close the connection.
+func rawFirstFrame(t *testing.T, addr string, tag byte, payload []byte) error {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer conn.Close()
-				fc := newFrameConn(conn, SimLink{}, SimLink{})
-				for {
-					tag, _, err := fc.readFrame(context.Background())
-					if err != nil {
-						return
-					}
-					switch tag {
-					case msgHello:
-						if sendErr(context.Background(), fc, errors.New("wire: unknown message tag 18")) != nil {
-							return
-						}
-					case msgTables:
-						var e Encoder
-						e.Uvarint(1)
-						e.String("oldtable")
-						if fc.writeFrame(context.Background(), msgOK, e.Bytes()) != nil {
-							return
-						}
-					default:
-						return
-					}
-				}
-			}()
-		}
-	}()
-	return ln.Addr().String()
-}
-
-func TestLegacyServerFallback(t *testing.T) {
-	addr := serveLegacy(t)
-	cl, err := DialContext(ctx, addr, WithTenant("acme"), WithCreditWindow(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	tables, err := cl.Tables(ctx)
-	if err != nil || len(tables) != 1 || tables[0] != "oldtable" {
-		t.Fatalf("Tables via legacy peer = %v, %v", tables, err)
-	}
-	if !cl.legacy.Load() {
-		t.Error("a msgErr hello answer must mark the link legacy")
-	}
-	// Later dials on the marked link skip the handshake entirely.
-	fc, err := cl.dial(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.putConn(fc)
-	if fc.window != 0 {
-		t.Errorf("legacy link window = %d, want 0 (flow control off)", fc.window)
-	}
-}
-
-func TestRawLegacyClientStreams(t *testing.T) {
-	// A pre-handshake client never sends msgHello or msgCredit; the
-	// server must leave the window at 0 (unlimited) and stream to
-	// completion without waiting for grants. Speak the old protocol
-	// raw: straight to msgExecute on a fresh conn.
-	_, cl := startRelServer(t, 600)
-	conn, err := net.Dial("tcp", cl.addr)
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
+	if err := conn.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
 	fc := newFrameConn(conn, SimLink{}, SimLink{})
+	if err := fc.writeFrame(ctx, tag, payload); err != nil {
+		t.Fatal(err)
+	}
+	respTag, resp, err := fc.readFrame(ctx)
+	if err != nil {
+		t.Fatalf("reading the handshake answer: %v", err)
+	}
+	_, answer := checkResp(respTag, resp)
+	if _, _, err := fc.readFrame(ctx); !errors.Is(err, io.EOF) {
+		t.Errorf("after a refused handshake the server must close the connection; next read = %v", err)
+	}
+	return answer
+}
+
+func TestHelloVersionMismatch(t *testing.T) {
+	_, cl := startRelServer(t, 10)
 	var e Encoder
-	if err := e.Query(source.NewScan("items")); err != nil {
+	e.Uvarint(helloVersion - 1)
+	e.String("acme")
+	if err := rawFirstFrame(t, cl.addr, msgHello, e.Bytes()); !errors.Is(err, ErrProtocolVersion) {
+		t.Fatalf("old-version hello answered with %v, want ErrProtocolVersion", err)
+	}
+	// The refused peer does not disturb established clients.
+	if _, err := cl.Tables(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := fc.writeFrame(ctx, msgExecute, e.Bytes()); err != nil {
+	// A client dialing a server that speaks another version fails the
+	// dial with the same typed error.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
 		t.Fatal(err)
 	}
-	sawEnd := false
-	for !sawEnd {
-		tag, payload, err := fc.readFrame(ctx)
+	defer ln.Close()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		conn, err := ln.Accept()
 		if err != nil {
-			t.Fatalf("legacy stream read: %v", err)
+			return
 		}
-		switch tag {
-		case msgOK, msgRows:
-		case msgEnd:
-			sawEnd = true
-		case msgErr:
-			msg, _ := NewDecoder(payload).String()
-			t.Fatalf("legacy stream got error: %s", msg)
-		default:
-			t.Fatalf("legacy stream got unexpected tag %d", tag)
+		defer conn.Close()
+		fc := newFrameConn(conn, SimLink{}, SimLink{})
+		if _, _, err := fc.readFrame(ctx); err == nil {
+			_ = sendErr(ctx, fc, fmt.Errorf("%w: peer sent version %d", ErrProtocolVersion, helloVersion))
+		}
+	}()
+	if _, err := DialContext(ctx, ln.Addr().String()); !errors.Is(err, ErrProtocolVersion) {
+		t.Fatalf("dial against a refusing server = %v, want ErrProtocolVersion", err)
+	}
+	<-served
+}
+
+func TestFirstFrameMustBeHello(t *testing.T) {
+	_, cl := startRelServer(t, 10)
+	// A well-formed hello payload under another tag is still refused.
+	var e Encoder
+	e.hello("acme")
+	for _, tag := range []byte{msgTables, msgExecute} {
+		if err := rawFirstFrame(t, cl.addr, tag, e.Bytes()); !errors.Is(err, ErrProtocolVersion) {
+			t.Errorf("first frame with tag %d answered with %v, want ErrProtocolVersion", tag, err)
 		}
 	}
 }
@@ -210,20 +175,25 @@ func TestOversizedFrameRejectedBeforeAllocation(t *testing.T) {
 }
 
 func TestMaxFrameBytesTravelsInHello(t *testing.T) {
-	// The client advertises a tiny inbound bound; the handshake must
-	// lower the server's outbound bound so a full 256-row batch can no
-	// longer be sent. The stream fails cleanly; the client survives and
-	// a later small result works.
-	_, cl := startRelServer(t, 2000, WithMaxFrameBytes(1024))
-	it, err := cl.Execute(ctx, source.NewScan("items"))
-	if err == nil {
-		_, err = source.Drain(it)
+	// The server advertises a tiny inbound bound; the client must refuse
+	// to send a larger frame before it reaches the socket, and keep
+	// working afterwards.
+	st, cl := startRelServerWith(t, 10, []ServerOption{WithServerMaxFrameBytes(1024)})
+	var big []types.Row
+	for i := 0; i < 200; i++ {
+		big = append(big, types.Row{types.NewInt(int64(1000 + i)), types.NewString("a somewhat long category"), types.NewFloat(0)})
 	}
-	if err == nil {
-		t.Fatal("a batch larger than the advertised bound must fail the stream")
+	if _, err := cl.Insert(ctx, "items", big); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("oversized insert = %v, want ErrFrameTooLarge", err)
+	}
+	if info, err := st.TableInfo(ctx, "items"); err != nil || info.RowCount != 10 {
+		t.Fatalf("refused insert must not reach the store: %+v, %v", info, err)
+	}
+	if n, err := cl.Insert(ctx, "items", big[:1]); err != nil || n != 1 {
+		t.Fatalf("client must keep working after a refused frame: %d, %v", n, err)
 	}
 	if tables, err := cl.Tables(ctx); err != nil || len(tables) != 1 {
-		t.Fatalf("client must recover after a bounded-frame failure: %v, %v", tables, err)
+		t.Fatalf("Tables after a refused frame = %v, %v", tables, err)
 	}
 }
 

@@ -63,10 +63,11 @@ type Server struct {
 	// over-limit requests are shed with a wire-marked OverloadError the
 	// client decodes back into the typed form.
 	admit *admission.Controller
-	// creditWindow is the server's flow-control cap (msgRows frames in
-	// flight per stream); the handshake grants min(client, server).
+	// creditWindow is the flow-control window (msgRows frames in flight
+	// per stream) the handshake grants every connection.
 	creditWindow int
-	// maxFrameBytes bounds inbound frames on every connection.
+	// maxFrameBytes bounds inbound frames on every connection; the
+	// handshake advertises it as the client's outbound bound.
 	maxFrameBytes int
 }
 
@@ -88,15 +89,16 @@ func WithAdmission(ctrl *admission.Controller) ServerOption {
 	return func(s *Server) { s.admit = ctrl }
 }
 
-// WithServerCreditWindow overrides the server's flow-control cap
-// (msgRows frames in flight per stream; 0 disables flow control). The
-// effective per-connection window is min(client request, this cap).
+// WithServerCreditWindow overrides the flow-control window granted to
+// every stream (msgRows frames in flight; default 32, floor 2).
 func WithServerCreditWindow(frames int) ServerOption {
-	return func(s *Server) { s.creditWindow = frames }
+	return func(s *Server) { s.creditWindow = max(frames, minCreditWindow) }
 }
 
 // WithServerMaxFrameBytes bounds inbound frames on every connection;
-// larger frames are rejected with ErrFrameTooLarge before allocation.
+// larger frames are rejected with ErrFrameTooLarge before allocation,
+// and clients refuse to send them because the handshake advertises the
+// bound.
 func WithServerMaxFrameBytes(n int) ServerOption {
 	return func(s *Server) {
 		if n > 0 {
@@ -239,6 +241,9 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn, tr *connTrack) er
 	fc.inj = s.inj
 	fc.limit = s.maxFrameBytes
 	st := &connState{txs: make(map[string]source.Tx)}
+	if err := s.handshake(ctx, fc, st); err != nil {
+		return err
+	}
 	defer func() {
 		// Abort any transaction the client abandoned. The abort must run
 		// even when the server's root context is already cancelled, so it
@@ -272,14 +277,11 @@ func sendErr(ctx context.Context, fc *frameConn, err error) error {
 }
 
 func (s *Server) handle(ctx context.Context, fc *frameConn, st *connState, tag byte, payload []byte) error {
-	// Handshake and flow-control frames bypass the fault injector: they
-	// are connection plumbing, not operations, and their arrival depends
-	// on pool reuse and batch timing — routing them through the injector
-	// would make seeded fault sequences non-reproducible.
-	switch tag {
-	case msgHello:
-		return s.handleHello(ctx, fc, st, payload)
-	case msgCredit:
+	// Flow-control frames bypass the fault injector: they are
+	// connection plumbing, not operations, and their arrival depends on
+	// batch timing — routing them through the injector would make
+	// seeded fault sequences non-reproducible.
+	if tag == msgCredit {
 		// A stale grant from a stream that already ended; the credit it
 		// carries is void. Ignoring it here keeps pooled connections in
 		// protocol sync.
@@ -472,22 +474,34 @@ func (s *Server) handle(ctx context.Context, fc *frameConn, st *connState, tag b
 	}
 }
 
-// handleHello answers the optional per-connection handshake: record the
-// tenant, grant the negotiated credit window, and exchange frame-size
-// bounds (each side lowers its outbound bound to the peer's inbound
-// one).
-func (s *Server) handleHello(ctx context.Context, fc *frameConn, st *connState, payload []byte) error {
-	h, err := NewDecoder(payload).hello()
+// handshake reads the connection's first frame, which must be a
+// msgHello of this build's version: it records the tenant and answers
+// with the server's credit window and inbound frame bound. Anything
+// else is answered with ErrProtocolVersion, and the returned error
+// closes the connection. Like flow control, the exchange bypasses the
+// fault injector.
+func (s *Server) handshake(ctx context.Context, fc *frameConn, st *connState) error {
+	tag, payload, err := fc.readFrame(ctx)
 	if err != nil {
-		return sendErr(ctx, fc, err)
+		return err
 	}
-	st.tenant = h.Tenant
-	fc.window = negotiateWindow(h.Window, s.creditWindow)
-	if h.MaxRead > 0 && h.MaxRead < fc.wlimit {
-		fc.wlimit = h.MaxRead
+	if tag != msgHello {
+		err = fmt.Errorf("%w: first frame has tag %d, want msgHello", ErrProtocolVersion, tag)
+	} else {
+		st.tenant, err = NewDecoder(payload).hello()
 	}
+	if err != nil {
+		if !errors.Is(err, ErrProtocolVersion) {
+			err = fmt.Errorf("%w: malformed msgHello: %v", ErrProtocolVersion, err)
+		}
+		if serr := sendErr(ctx, fc, err); serr != nil {
+			return serr
+		}
+		return err
+	}
+	fc.window = s.creditWindow
 	var e Encoder
-	e.helloReply(&helloReply{Version: helloVersion, Window: fc.window, MaxRead: s.maxFrameBytes})
+	e.helloReply(fc.window, s.maxFrameBytes)
 	return fc.writeFrame(ctx, msgOK, e.Bytes())
 }
 
@@ -504,33 +518,25 @@ func sendShed(ctx context.Context, fc *frameConn, err error) error {
 	return sendErr(ctx, fc, err)
 }
 
-// handleExecute serves one msgExecute request: decode the query, the
-// optional trace context, and the optional deadline budget; pass
-// admission control; run the fragment (under a server-local trace when
-// the mediator sent a sampled context) with the budget enforced as a
-// context deadline; stream the rows; and then — best-effort — return
-// the finished span subtree in a msgTrace trailer. The trailer travels
-// strictly after msgEnd so its loss can never cost rows; the mediator
-// degrades to its local-only trace.
+// handleExecute serves one msgExecute request: decode the query, trace
+// id, and deadline budget; pass admission control; run the fragment
+// (under a server-local trace when the mediator sent a trace id) with
+// the budget enforced as a context deadline; stream the rows; and then
+// — best-effort — return the finished span subtree in a msgTrace
+// trailer. The trailer travels strictly after msgEnd so its loss can
+// never cost rows; the mediator degrades to its local-only trace.
 func (s *Server) handleExecute(ctx context.Context, fc *frameConn, st *connState, d *Decoder) error {
-	q, err := d.Query()
+	req, err := d.execute()
 	if err != nil {
 		return sendErr(ctx, fc, err)
 	}
-	tc, err := d.traceContext()
-	if err != nil {
-		return sendErr(ctx, fc, err)
-	}
-	budget, err := d.deadlineBudget()
-	if err != nil {
-		return sendErr(ctx, fc, err)
-	}
-	if budget > 0 {
+	q := req.q
+	if req.budget > 0 {
 		// The propagated deadline caps this fragment: when it fires, the
 		// source's Execute/Next observe ctx cancellation and the stream
 		// reports the expiry instead of pinning the connection.
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, budget)
+		ctx, cancel = context.WithTimeout(ctx, req.budget)
 		defer cancel()
 	}
 	if s.admit != nil {
@@ -544,17 +550,17 @@ func (s *Server) handleExecute(ctx context.Context, fc *frameConn, st *connState
 	rctx := ctx
 	var tr *obs.Trace
 	var root *obs.Span
-	if tc != nil && tc.Sampled {
-		tr = obs.NewTraceWithID(tc.TraceID, q.String())
+	if req.traceID != "" {
+		tr = obs.NewTraceWithID(req.traceID, q.String())
 		rctx = obs.WithTrace(ctx, tr)
 		rctx, root = obs.StartSpan(rctx, obs.SpanRemote, s.src.Name())
-		root.SetAttr("trace_id", tc.TraceID)
-		root.SetInt("parent_span", int64(tc.ParentSpan))
+		root.SetAttr("trace_id", req.traceID)
+		root.SetInt("parent_span", int64(req.parentSpan))
 	}
-	done, streamErr := s.streamQuery(rctx, fc, q, tr != nil)
+	done, streamErr := s.streamQuery(rctx, fc, q)
 	root.End()
-	// Only a stream that reached its flagged msgEnd owes a trailer; an
-	// error stream (msgErr) left the client not reading one.
+	// Only a traced stream that reached msgEnd owes a trailer; an error
+	// stream (msgErr) left the client not reading one.
 	if streamErr != nil || tr == nil || !done {
 		return streamErr
 	}
@@ -575,10 +581,9 @@ func (s *Server) handleExecute(ctx context.Context, fc *frameConn, st *connState
 
 // streamQuery rebinds and executes q, streaming row batches until EOF.
 // Under a traced context it records the remote parse/exec/stream child
-// spans; traced also sets the msgEnd trailer-follows flag. The bool
-// reports whether the stream completed through msgEnd (and so owes a
-// trailer when traced).
-func (s *Server) streamQuery(ctx context.Context, fc *frameConn, q *source.Query, traced bool) (bool, error) {
+// spans. The bool reports whether the stream completed through msgEnd
+// (and so owes a trailer when traced).
+func (s *Server) streamQuery(ctx context.Context, fc *frameConn, q *source.Query) (bool, error) {
 	pctx, psp := obs.StartSpan(ctx, obs.SpanParse, "rebind")
 	err := s.rebindQuery(pctx, q)
 	psp.End()
@@ -598,34 +603,31 @@ func (s *Server) streamQuery(ctx context.Context, fc *frameConn, q *source.Query
 	if err := fc.writeFrame(ctx, msgOK, nil); err != nil {
 		return false, err
 	}
-	return s.streamRows(ctx, fc, it, traced)
+	return s.streamRows(ctx, fc, it)
 }
 
 // streamRows drains it into msgRows batches and terminates the stream
-// with msgEnd (flagged when a trace trailer will follow). The bool
-// reports whether msgEnd was written.
+// with msgEnd. The bool reports whether msgEnd was written.
 //
-// When the connection negotiated a credit window, each msgRows frame
-// spends one credit; at zero the server blocks reading msgCredit grants
-// instead of buffering ahead, so a slow consumer stalls this stream
-// rather than ballooning server memory. A context deadline (propagated
-// or local) is reported to the client as a clean in-stream error: the
-// connection survives, the stream does not.
-func (s *Server) streamRows(ctx context.Context, fc *frameConn, it source.RowIter, traced bool) (bool, error) {
+// Each msgRows frame spends one credit of the connection's window; at
+// zero the server blocks reading msgCredit grants instead of buffering
+// ahead, so a slow consumer stalls this stream rather than ballooning
+// server memory. A context deadline (propagated or local) is reported
+// to the client as a clean in-stream error: the connection survives,
+// the stream does not.
+func (s *Server) streamRows(ctx context.Context, fc *frameConn, it source.RowIter) (bool, error) {
 	_, ssp := obs.StartSpan(ctx, obs.SpanStream, "rows")
 	defer ssp.End()
 	var e Encoder
 	batch, rows := 0, int64(0)
 	credit := fc.window
 	sendBatch := func(n int) error {
-		if fc.window > 0 {
-			if credit == 0 {
-				if err := awaitCredit(ctx, fc, &credit); err != nil {
-					return err
-				}
+		if credit == 0 {
+			if err := awaitCredit(ctx, fc, &credit); err != nil {
+				return err
 			}
-			credit--
 		}
+		credit--
 		hdr := prependCount(e.Bytes(), n)
 		return fc.writeFrame(ctx, msgRows, hdr)
 	}
@@ -676,11 +678,7 @@ func (s *Server) streamRows(ctx context.Context, fc *frameConn, it source.RowIte
 		}
 	}
 	ssp.SetInt("rows", rows)
-	var end []byte
-	if traced {
-		end = []byte{1}
-	}
-	if err := fc.writeFrame(ctx, msgEnd, end); err != nil {
+	if err := fc.writeFrame(ctx, msgEnd, nil); err != nil {
 		return false, err
 	}
 	return true, nil

@@ -93,8 +93,7 @@ func TestTraceTrailerStitch(t *testing.T) {
 }
 
 // TestTraceUntracedRequestCompat pins the wire format contract: a
-// request without a trace context (the pre-trace payload shape plus an
-// absent flag) gets a plain unflagged msgEnd and no trailer.
+// request with an empty trace id gets msgEnd and no trailer.
 func TestTraceUntracedRequestCompat(t *testing.T) {
 	_, cl := startRelServer(t, 50)
 	before := mRemoteLost.Value()
@@ -156,8 +155,9 @@ func traceChaosHarness(t *testing.T, spec string) *Client {
 		t.Fatal(err)
 	}
 	srv := chaosServer(t, 50, plan)
-	return chaosDial(t, srv.Addr(), WithName("chaos"),
-		WithTraceTrailerTimeout(100*time.Millisecond))
+	cl := chaosDial(t, srv.Addr(), WithName("chaos"))
+	cl.trailerTimeout = 100 * time.Millisecond
+	return cl
 }
 
 // TestChaosTraceTrailerDropped severs the connection between msgEnd and

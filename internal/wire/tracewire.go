@@ -2,18 +2,16 @@ package wire
 
 // Distributed trace propagation over the wire protocol.
 //
-// Request side: Client.Execute appends an optional trace context —
-// (present flag, trace id, parent span id, sampling flag) — after the
-// encoded query in the msgExecute payload. Decoder.Query consumes an
-// exact prefix, so a server reads the context from the remaining bytes;
-// a request from an untraced query carries `false` and nothing else.
+// Request side: msgExecute carries the requesting trace's id after the
+// encoded query (see hello.go); an empty id means untraced, and a
+// non-empty one is followed by the parent span id.
 //
-// Response side: when the context is present and sampled, the server
-// runs the fragment under its own obs.Trace (rooted at a SpanRemote)
-// and, after the final msgEnd — whose one-byte payload flags that a
-// trailer follows — ships the finished span subtree back in a msgTrace
-// trailer frame. Rows always complete before the trailer is sent, so a
-// lost, stalled, or malformed trailer can never fail the query: the
+// Response side: for a traced request the server runs the fragment
+// under its own obs.Trace (rooted at a SpanRemote) and, after the
+// final msgEnd, ships the finished span subtree back in a msgTrace
+// trailer frame. Both sides know from the request alone whether a
+// trailer follows. Rows always complete before the trailer is sent, so
+// a lost, stalled, or malformed trailer can never fail the query: the
 // client degrades to its local-only trace and increments
 // obs.trace.remote_lost. See DESIGN.md "Distributed tracing & plan
 // telemetry".
@@ -32,54 +30,9 @@ import (
 var mRemoteLost = obs.Default().Counter("obs.trace.remote_lost")
 
 // defaultTrailerTimeout bounds how long a client waits for the msgTrace
-// trailer after msgEnd announced one. Generous against WAN latency but
+// trailer after msgEnd on a traced stream. Generous against WAN latency but
 // finite: tracing must never wedge a finished query.
 const defaultTrailerTimeout = 2 * time.Second
-
-// traceContext is the distributed-trace context piggybacked on a
-// msgExecute request.
-type traceContext struct {
-	TraceID    string
-	ParentSpan uint64
-	Sampled    bool
-}
-
-// traceContext appends the optional trace context (nil encodes as a
-// single absent flag, keeping untraced requests one byte longer only).
-func (e *Encoder) traceContext(tc *traceContext) {
-	if tc == nil {
-		e.Bool(false)
-		return
-	}
-	e.Bool(true)
-	e.String(tc.TraceID)
-	e.Uvarint(tc.ParentSpan)
-	e.Bool(tc.Sampled)
-}
-
-// traceContext reads the optional trace context from the tail of a
-// msgExecute payload. A payload with no remaining bytes (an
-// out-of-version peer) decodes as absent.
-func (d *Decoder) traceContext() (*traceContext, error) {
-	if d.Remaining() == 0 {
-		return nil, nil
-	}
-	present, err := d.Bool()
-	if err != nil || !present {
-		return nil, err
-	}
-	tc := &traceContext{}
-	if tc.TraceID, err = d.String(); err != nil {
-		return nil, err
-	}
-	if tc.ParentSpan, err = d.Uvarint(); err != nil {
-		return nil, err
-	}
-	if tc.Sampled, err = d.Bool(); err != nil {
-		return nil, err
-	}
-	return tc, nil
-}
 
 // Span encodes a span snapshot subtree: kind and name, start (µs since
 // epoch), duration (µs), attrs, then children recursively.
@@ -100,9 +53,9 @@ func (e *Encoder) Span(sp *obs.SpanData) {
 }
 
 // Span decodes a span snapshot subtree. Counts are bounded by the
-// remaining payload (every attr and child costs at least one byte), so
-// a corrupt frame cannot provoke an oversized allocation or unbounded
-// recursion.
+// remaining payload (every attr and child costs at least one byte) and
+// nesting by maxDecodeDepth, so a corrupt frame cannot provoke an
+// oversized allocation or unbounded recursion.
 func (d *Decoder) Span() (*obs.SpanData, error) {
 	sp := &obs.SpanData{}
 	var err error
@@ -145,7 +98,11 @@ func (d *Decoder) Span() (*obs.SpanData, error) {
 		return nil, io.ErrUnexpectedEOF
 	}
 	for i := uint64(0); i < nc; i++ {
+		if err := d.enter(); err != nil {
+			return nil, err
+		}
 		c, err := d.Span()
+		d.depth--
 		if err != nil {
 			return nil, err
 		}
@@ -160,8 +117,8 @@ type readDeadliner interface {
 	SetReadDeadline(t time.Time) error
 }
 
-// finishTrailer consumes the msgTrace trailer the server announced via
-// the msgEnd flag, stitches the remote subtree under the parent (ship)
+// finishTrailer consumes the msgTrace trailer that follows msgEnd on a
+// traced stream, stitches the remote subtree under the parent (ship)
 // span, and returns the connection to the pool. Any failure — injected
 // fault, read timeout, wrong tag, malformed payload, trace-id mismatch
 // — degrades to the mediator-only trace: the counter is bumped and the

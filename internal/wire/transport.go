@@ -32,18 +32,17 @@ const (
 	msgOK   // payload depends on the request
 	msgErr  // payload: error string
 	msgRows // payload: row batch (streamed after msgExecute's msgOK)
-	msgEnd  // end of a row stream; one-byte payload 1 = trace trailer follows
+	msgEnd  // end of a row stream; empty payload
 	// msgTrace is the best-effort trace trailer: the component system's
 	// finished span subtree, sent after msgEnd when the request carried
-	// a sampled trace context (see tracewire.go). Losing it degrades
-	// the mediator to its local-only trace; it never affects rows.
+	// a trace id (see tracewire.go). Losing it degrades the mediator to
+	// its local-only trace; it never affects rows.
 	msgTrace
-	// msgHello is the optional per-connection handshake: the client
-	// announces its protocol version, tenant, requested credit window,
-	// and frame-size bound; the server answers msgOK with the
-	// negotiated values (see hello.go). Servers predating the tag
-	// answer msgErr, which the client treats as "legacy peer" and
-	// continues without tenancy or flow control.
+	// msgHello is the required first frame on every connection: the
+	// client's protocol version and tenant. The server answers msgOK
+	// with the credit window and its inbound frame bound, or msgErr
+	// with ErrProtocolVersion before closing the connection (see
+	// hello.go).
 	msgHello
 	// msgCredit is the client→server flow-control grant on a result
 	// stream: its payload is a uvarint count of additional msgRows
@@ -147,12 +146,11 @@ type frameConn struct {
 	// inj, when set, injects faults per operation (see injure).
 	inj *faults.Injector
 	// limit bounds inbound frames (readFrame rejects larger ones
-	// before allocating); wlimit bounds outbound frames and is lowered
-	// to the peer's advertised limit by the hello handshake.
+	// before allocating); wlimit bounds outbound frames, and on a
+	// client connection is the server's advertised inbound bound.
 	limit, wlimit int
-	// window is the negotiated credit window for result streams on
-	// this connection (msgRows frames in flight); 0 disables flow
-	// control (legacy peer or feature off).
+	// window is the server's credit window for result streams on this
+	// connection (msgRows frames in flight), set by the handshake.
 	window int
 	// rttEWMA, when set, receives an exponentially-weighted moving
 	// average of observed round-trip nanoseconds (the client uses it to

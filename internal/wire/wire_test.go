@@ -19,6 +19,12 @@ var ctx = context.Background()
 // client (both cleaned up with the test).
 func startRelServer(t *testing.T, n int, opts ...Option) (*relstore.Store, *Client) {
 	t.Helper()
+	return startRelServerWith(t, n, nil, opts...)
+}
+
+// startRelServerWith is startRelServer with server options.
+func startRelServerWith(t *testing.T, n int, srvOpts []ServerOption, opts ...Option) (*relstore.Store, *Client) {
+	t.Helper()
 	st := relstore.New("remote1")
 	schema := types.NewSchema(
 		types.Column{Name: "id", Type: types.KindInt},
@@ -39,7 +45,7 @@ func startRelServer(t *testing.T, n int, opts ...Option) (*relstore.Store, *Clie
 	if _, err := st.Insert(ctx, "items", rows); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := Serve(context.Background(), "127.0.0.1:0", st)
+	srv, err := Serve(context.Background(), "127.0.0.1:0", st, srvOpts...)
 	if err != nil {
 		t.Fatal(err)
 	}

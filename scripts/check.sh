@@ -46,6 +46,10 @@
 #                   isolation (wire, parallel union, bind join, 2PC,
 #                   breaker shedding; see DESIGN.md "Resilience &
 #                   fault model")
+#   5c. fuzz      — a bounded run of each native fuzz target: the wire
+#                   decoders and frame reader, and the SQL parser (make
+#                   fuzz; new crashers land in the package's
+#                   testdata/fuzz/ and replay in every go test)
 #   6. gisbench   — quick JSON smoke run, schema-validated by
 #                   scripts/benchjson (see EXPERIMENTS.md)
 #   7. query log  — demo-federation query with -query-log-sample 1,
@@ -118,6 +122,14 @@ echo '== overload (admission, quotas, backpressure) =='
 # bench run validated against the gisbench JSON schema.
 if ! make --no-print-directory overload; then
     echo 'check: FAIL — overload robustness gate (admission control / backpressure / quota enforcement)' >&2
+    exit 1
+fi
+
+echo '== fuzz (bounded) =='
+# make fuzz exactly, so this gate and the Makefile target can never
+# drift apart.
+if ! make --no-print-directory fuzz; then
+    echo 'check: FAIL — a fuzz target found a crasher (it was written under testdata/fuzz/; fix the code and commit the input)' >&2
     exit 1
 fi
 
